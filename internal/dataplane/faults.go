@@ -48,10 +48,12 @@ type Link struct {
 // FaultVerdict is what the injector decided for one crossing. Zero
 // value means "deliver untouched". Drop wins over everything else;
 // Duplicate means the fabric forwards a second, independent copy;
-// Corrupt means the fabric flips bytes in the wire encoding (tiers
-// that forward structs re-marshal to apply it); DelaySteps holds the
-// packet for that many fabric steps (sync fabric: forwarding-loop
-// iterations; live fabrics: milliseconds) before delivery.
+// Corrupt means the fabric flips bytes of the copy's wire encoding —
+// anywhere in the frame on the wire transports, in the Elmo header
+// stream on the synchronous fabric, which forwards decoded packets;
+// DelaySteps holds the packet for that many fabric steps (sync fabric:
+// forwarding-loop iterations; live fabrics: milliseconds) before
+// delivery.
 type FaultVerdict struct {
 	Drop       bool
 	Duplicate  bool
@@ -70,8 +72,9 @@ type FaultInjector interface {
 	// Cross returns the verdict for one packet crossing the link. The
 	// group address lets injectors discriminate probe traffic.
 	Cross(l Link, vni, group uint32) FaultVerdict
-	// CorruptWire flips bytes of a marshaled frame in place,
-	// deterministically per injector state.
+	// CorruptWire flips bytes of a marshaled frame (or of a decoded
+	// packet's Elmo stream) in place, deterministically per injector
+	// state.
 	CorruptWire(frame []byte)
 }
 

@@ -31,7 +31,9 @@ type SendSample struct {
 
 // FlowObserver receives per-link and per-send traffic accounting from
 // the fabrics. ObserveLink fires once per directed link crossing (the
-// same crossings LinkBytes counts); ObserveSend fires once per send.
+// same crossings LinkBytes counts) on every transport; ObserveSend
+// fires once per send on the synchronous fabric only, since the
+// asynchronous transports have no point at which a send is complete.
 // Implementations must tolerate concurrent calls: the live fabrics
 // forward from many goroutines.
 type FlowObserver interface {

@@ -1,10 +1,12 @@
 // Package fabric wires dataplane switches into a complete emulated
-// Clos network and forwards packets through it synchronously and
-// deterministically. It is the substrate for correctness tests (every
-// member receives exactly one copy), for the traffic-overhead
-// experiments (per-link byte accounting as headers shrink hop by hop),
-// and for the unicast and overlay-multicast baselines (§5.2's
-// comparison points).
+// Clos network and owns the per-element forwarding step every
+// transport runs (step.go): this package's synchronous forwarder, and
+// the wire transports in livefabric and udpfabric through Wire
+// (wire.go). The synchronous forwarder is deterministic; it is the
+// substrate for correctness tests (every member receives exactly one
+// copy), for the traffic-overhead experiments (per-link byte
+// accounting as headers shrink hop by hop), and for the unicast and
+// overlay-multicast baselines (§5.2's comparison points).
 package fabric
 
 import (
@@ -37,10 +39,9 @@ type Fabric struct {
 	metrics  *Metrics
 	observer dataplane.FlowObserver
 
-	// refProcess routes forwarding through the frozen allocating
-	// pipeline (ReferenceProcess) instead of the scratch fast path —
-	// the benchmark baseline. See SetReferenceProcessing.
-	refProcess bool
+	// free holds idle per-send states (see takeState).
+	freeMu sync.Mutex
+	free   []*procState
 }
 
 // New builds the fabric with the given per-switch s-rule capacity.
@@ -89,15 +90,22 @@ func (f *Fabric) Topology() *topology.Topology { return f.topo }
 func (f *Fabric) Failures() *topology.FailureSet { return f.failures }
 
 // SetFailures replaces the fabric's failure set (typically with the
-// controller's, so one set drives both control and data planes).
+// controller's, so one set drives both control and data planes). The
+// forwarding step of every transport reads the set without a lock, so
+// fail or repair elements (controller FailSpine/RepairSpine and the
+// like) only while no packet is in flight: between sends here, and
+// with senders quiet after Drain (livefabric) or WaitForDeliveries
+// (udpfabric) on the wire transports — the contract group installs
+// already have.
 func (f *Fabric) SetFailures(fs *topology.FailureSet) {
 	f.failures = fs
 }
 
 // SetTracer attaches a flight recorder to every switch and hypervisor
-// of the fabric (and to the fabric's own link-loss events), so packet
+// of the fabric and to the forwarding step's own events (link loss,
+// malformed frames, host-queue drops) on every transport, so packet
 // hops record which rule forwarded them at each tier. Call while the
-// fabric is quiet — the live fabrics read the same switch objects from
+// fabric is quiet — the wire transports read the same objects from
 // their goroutines. A nil or disabled recorder adds one atomic check
 // per packet and no allocation.
 func (f *Fabric) SetTracer(r trace.Recorder) {
@@ -116,29 +124,18 @@ func (f *Fabric) SetTracer(r trace.Recorder) {
 	}
 }
 
-// SetInjector attaches a fault injector; every link crossing consults
-// it. Call while the fabric is quiet. A nil or inactive injector adds
-// one nil check plus one atomic load per crossing and no allocation.
+// SetInjector attaches a fault injector; every link crossing on every
+// transport consults it. Call while the fabric is quiet. A nil or
+// inactive injector adds one nil check plus one atomic load per
+// crossing and no allocation.
 func (f *Fabric) SetInjector(inj dataplane.FaultInjector) { f.injector = inj }
 
 // SetObserver attaches a flow observer (the ops plane); every link
-// crossing and completed send reports to it. Call while the fabric is
-// quiet (same contract as SetTracer); nil detaches. A nil or disabled
-// observer adds one nil check plus one atomic load per site and no
-// allocation.
+// crossing on every transport reports to it, and so does every
+// completed synchronous send. Call while the fabric is quiet (same
+// contract as SetTracer); nil detaches. A nil or disabled observer
+// adds one nil check plus one atomic load per site and no allocation.
 func (f *Fabric) SetObserver(o dataplane.FlowObserver) { f.observer = o }
-
-// traceLost records a copy dropped at a failed switch.
-func (f *Fabric) traceLost(tier trace.Tier, id int, pkt dataplane.Packet) {
-	if !trace.On(f.tracer, trace.CatFabric) {
-		return
-	}
-	ev := trace.Event{Cat: trace.CatFabric, Kind: trace.KindDrop, Tier: tier, Switch: int32(id)}
-	if addr, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
-		ev.VNI, ev.Group = addr.VNI, addr.Group
-	}
-	f.tracer.Record(ev)
-}
 
 // SetLegacyLeaf switches a leaf into legacy (non-Elmo) mode; pair with
 // controller.Config.LegacyLeaves so the controller installs the
@@ -211,127 +208,6 @@ type Delivery struct {
 	Malformed int
 }
 
-// kindHost marks an event that is a host delivery rather than a
-// switch traversal (only used internally by forward).
-const kindHost dataplane.SwitchKind = -1
-
-// event is one packet arriving somewhere in the fabric.
-type event struct {
-	kind dataplane.SwitchKind
-	id   int
-	pkt  dataplane.Packet
-}
-
-// heldEvent is a delayed event: released into the queue when the
-// forwarding loop's iteration counter reaches due.
-type heldEvent struct {
-	ev  event
-	due int
-}
-
-// procState is the reusable per-send working memory: the switch
-// scratch plus the event queue and delay buffer. Pooled so repeated
-// sends allocate nothing for forwarding state. A single scratch serves
-// all switches of a send — forward is synchronous, and the scratch
-// arena is append-only until the send completes, so stamped streams
-// queued behind other events stay valid.
-type procState struct {
-	scratch dataplane.SwitchScratch
-	queue   []event
-	// head indexes the next event to pop; draining by index (instead
-	// of re-slicing queue[1:]) keeps the backing array reusable.
-	head int
-	held []heldEvent
-}
-
-var fwdPool = sync.Pool{New: func() any { return new(procState) }}
-
-func (ps *procState) reset() {
-	ps.scratch.Reset()
-	ps.queue = ps.queue[:0]
-	ps.head = 0
-	ps.held = ps.held[:0]
-}
-
-// fwd is the per-send forwarding state shared with admit.
-type fwd struct {
-	d          *Delivery
-	ps         *procState
-	n          int
-	vni, group uint32
-}
-
-// SetReferenceProcessing switches forwarding to the frozen allocating
-// pipeline (dataplane.ReferenceProcess) when on is true — the pre-PR
-// baseline the dataplane benchmark stage compares the fast path
-// against. Call while the fabric is quiet.
-func (f *Fabric) SetReferenceProcessing(on bool) { f.refProcess = on }
-
-// process runs one switch over one packet through the configured
-// pipeline (scratch fast path by default).
-func (f *Fabric) process(sw *dataplane.NetworkSwitch, pkt *dataplane.Packet, ps *procState) ([]dataplane.Emission, error) {
-	if f.refProcess {
-		return sw.ReferenceProcess(*pkt)
-	}
-	return sw.ProcessInto(*pkt, &ps.scratch)
-}
-
-// admit applies the fault injector's verdict for one link crossing and
-// enqueues the surviving copies. With no active injector it is a plain
-// enqueue. ev is passed by pointer to spare a struct copy per crossing
-// (it embeds a full Packet); admit copies it into the queue and never
-// retains the pointer.
-func (f *Fabric) admit(st *fwd, l dataplane.Link, ev *event) {
-	// Every directed crossing of the multicast path funnels through
-	// admit, so this is the single per-link observation site. The
-	// emitting tier has already counted the copy's LinkBytes, so the
-	// observer sees exactly the bytes the Delivery accounting sees
-	// (chaos drops included: the copy crossed the wire before dying).
-	if dataplane.ObsOn(f.observer) {
-		f.observer.ObserveLink(l, ev.pkt.WireSize())
-	}
-	if !dataplane.FaultsOn(f.injector) {
-		st.ps.queue = append(st.ps.queue, *ev)
-		return
-	}
-	v := f.injector.Cross(l, st.vni, st.group)
-	if v.Drop {
-		st.d.FaultDrops++
-		return
-	}
-	if v.Corrupt {
-		st.d.FaultCorrupts++
-		// The Elmo stream aliases the sender flow's precomputed bytes;
-		// corrupt a copy so other packets (and retransmissions) are
-		// unaffected.
-		elmo := make([]byte, len(ev.pkt.Elmo))
-		copy(elmo, ev.pkt.Elmo)
-		f.injector.CorruptWire(elmo)
-		ev.pkt.Elmo = elmo
-	}
-	copies := 1
-	if v.Duplicate {
-		copies = 2
-		st.d.FaultDups++
-		// The extra copy crosses this link too.
-		st.d.LinkBytes += ev.pkt.WireSize()
-		st.d.Links++
-		if dataplane.ObsOn(f.observer) {
-			f.observer.ObserveLink(l, ev.pkt.WireSize())
-		}
-	}
-	if v.DelaySteps > 0 {
-		st.d.FaultDelays++
-	}
-	for i := 0; i < copies; i++ {
-		if v.DelaySteps > 0 {
-			st.ps.held = append(st.ps.held, heldEvent{ev: *ev, due: st.n + int(v.DelaySteps)})
-		} else {
-			st.ps.queue = append(st.ps.queue, *ev)
-		}
-	}
-}
-
 // Send encapsulates inner at the sender's hypervisor and forwards the
 // packet through the fabric, returning the delivery outcome.
 func (f *Fabric) Send(sender topology.HostID, a dataplane.GroupAddr, inner []byte) (*Delivery, error) {
@@ -342,24 +218,16 @@ func (f *Fabric) Send(sender topology.HostID, a dataplane.GroupAddr, inner []byt
 	return f.forward(sender, pkt)
 }
 
-// forward walks the packet through the fabric synchronously. With a
-// fault injector attached and active, every link crossing may drop,
-// duplicate, corrupt, or delay the copy; health probes
-// (dataplane.ProbeVNI) additionally bypass the declared-failure drops
-// so the chaos monitor can observe a physically repaired switch that
-// the controller still believes failed.
+// forward walks the packet through the fabric synchronously: a FIFO of
+// arrivals, each run through the shared step (stepSwitch, hop, cross)
+// that the wire transports use too. With a fault injector attached and
+// active, every link crossing may drop, duplicate, corrupt, or delay
+// the copy; health probes (dataplane.ProbeVNI) additionally bypass the
+// declared-failure drops so the chaos monitor can observe a physically
+// repaired switch that the controller still believes failed.
 func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, error) {
-	var ps *procState
-	if f.refProcess {
-		// Reference mode reproduces the pre-fast-path forwarding cost
-		// faithfully: the queue state was allocated per send then, so
-		// the baseline must not borrow the pool either.
-		ps = new(procState)
-	} else {
-		ps = fwdPool.Get().(*procState)
-		ps.reset()
-		defer fwdPool.Put(ps)
-	}
+	ps := f.takeState()
+	defer f.releaseState(ps)
 	st := fwd{d: &Delivery{Received: make(map[topology.HostID][]byte, 16)}, ps: ps}
 	d := st.d
 	if a, ok := dataplane.GroupAddrFromOuter(pkt.Outer); ok {
@@ -381,15 +249,13 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 	// Host NIC -> leaf link.
 	d.LinkBytes += pkt.WireSize()
 	d.Links++
-	srcLeaf := f.topo.HostLeaf(src)
 	// aev is the admit staging slot, reused for every crossing so no
 	// event literal is copied through the call (admit copies it into the
 	// queue itself).
-	var aev event
-	aev = event{kind: dataplane.KindLeaf, id: int(srcLeaf), pkt: pkt}
+	aev := event{tier: dataplane.LinkLeaf, id: int32(f.topo.HostLeaf(src)), pkt: pkt}
 	f.admit(&st, dataplane.Link{
 		FromTier: dataplane.LinkHost, From: int32(src),
-		ToTier: dataplane.LinkLeaf, To: int32(srcLeaf),
+		ToTier: aev.tier, To: aev.id,
 	}, &aev)
 	for st.n = 0; ps.head < len(ps.queue) || len(ps.held) > 0; st.n++ {
 		if st.n >= maxEvents {
@@ -414,110 +280,32 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 		// old one stays valid for the duration of this iteration.
 		ev := &ps.queue[ps.head]
 		ps.head++
-		if ev.kind == kindHost {
+		if ev.tier == dataplane.LinkHost {
 			f.deliverHost(d, topology.HostID(ev.id), &ev.pkt)
 			continue
 		}
 		d.Hops++
-		switch ev.kind {
-		case dataplane.KindLeaf:
-			leaf := topology.LeafID(ev.id)
-			ems, err := f.process(f.Leaves[ev.id], &ev.pkt, ps)
-			if err != nil {
-				if chaos {
-					// A corrupted header is dropped where parsing fails,
-					// not surfaced as a fabric error.
-					d.Malformed++
-					continue
-				}
-				return nil, err
+		ems, err := f.stepSwitch(ev.tier, ev.id, &ev.pkt, &ps.scratch)
+		if err != nil {
+			if chaos {
+				// A corrupted header is dropped where parsing fails,
+				// not surfaced as a fabric error.
+				d.Malformed++
+				continue
 			}
-			for i := range ems {
-				em := &ems[i]
-				d.LinkBytes += em.Packet.WireSize()
-				d.Links++
-				if em.Up {
-					spine := f.topo.LeafUpstream(leaf, em.Port)
-					if f.failures.SpineFailed(spine) && !probe {
-						d.Lost++
-						f.traceLost(trace.TierSpine, int(spine), em.Packet)
-						continue
-					}
-					aev = event{kind: dataplane.KindSpine, id: int(spine), pkt: em.Packet}
-					f.admit(&st, dataplane.Link{
-						FromTier: dataplane.LinkLeaf, From: int32(leaf),
-						ToTier: dataplane.LinkSpine, To: int32(spine),
-					}, &aev)
-				} else {
-					host := f.topo.HostAt(leaf, em.Port)
-					aev = event{kind: kindHost, id: int(host), pkt: em.Packet}
-					f.admit(&st, dataplane.Link{
-						FromTier: dataplane.LinkLeaf, From: int32(leaf),
-						ToTier: dataplane.LinkHost, To: int32(host),
-					}, &aev)
-				}
+			return nil, err
+		}
+		for i := range ems {
+			em := &ems[i]
+			d.LinkBytes += em.Packet.WireSize()
+			d.Links++
+			l, ok := f.hop(ev.tier, ev.id, em, probe)
+			if !ok {
+				d.Lost++
+				continue
 			}
-		case dataplane.KindSpine:
-			spine := topology.SpineID(ev.id)
-			ems, err := f.process(f.Spines[ev.id], &ev.pkt, ps)
-			if err != nil {
-				if chaos {
-					d.Malformed++
-					continue
-				}
-				return nil, err
-			}
-			for i := range ems {
-				em := &ems[i]
-				d.LinkBytes += em.Packet.WireSize()
-				d.Links++
-				if em.Up {
-					core := f.topo.SpineUpstream(spine, em.Port)
-					if f.failures.CoreFailed(core) && !probe {
-						d.Lost++
-						f.traceLost(trace.TierCore, int(core), em.Packet)
-						continue
-					}
-					aev = event{kind: dataplane.KindCore, id: int(core), pkt: em.Packet}
-					f.admit(&st, dataplane.Link{
-						FromTier: dataplane.LinkSpine, From: int32(spine),
-						ToTier: dataplane.LinkCore, To: int32(core),
-					}, &aev)
-				} else {
-					leaf := f.topo.SpineDownstream(spine, em.Port)
-					aev = event{kind: dataplane.KindLeaf, id: int(leaf), pkt: em.Packet}
-					f.admit(&st, dataplane.Link{
-						FromTier: dataplane.LinkSpine, From: int32(spine),
-						ToTier: dataplane.LinkLeaf, To: int32(leaf),
-					}, &aev)
-				}
-			}
-		case dataplane.KindCore:
-			core := topology.CoreID(ev.id)
-			ems, err := f.process(f.Cores[ev.id], &ev.pkt, ps)
-			if err != nil {
-				if chaos {
-					d.Malformed++
-					continue
-				}
-				return nil, err
-			}
-			for i := range ems {
-				em := &ems[i]
-				d.LinkBytes += em.Packet.WireSize()
-				d.Links++
-				spine := f.topo.CoreDownstream(core, topology.PodID(em.Port))
-				if f.failures.SpineFailed(spine) && !probe {
-					d.Lost++
-					f.traceLost(trace.TierSpine, int(spine), em.Packet)
-					continue
-				}
-				aev = event{kind: dataplane.KindSpine, id: int(spine), pkt: em.Packet}
-				f.admit(&st, dataplane.Link{
-					FromTier: dataplane.LinkCore, From: int32(core),
-					ToTier: dataplane.LinkSpine, To: int32(spine),
-				}, &aev)
-			}
+			aev = event{tier: l.ToTier, id: l.To, pkt: em.Packet}
+			f.admit(&st, l, &aev)
 		}
 	}
 	f.metrics.observeDelivery(d)
@@ -532,6 +320,56 @@ func (f *Fabric) forward(src topology.HostID, pkt dataplane.Packet) (*Delivery, 
 		})
 	}
 	return d, nil
+}
+
+// admit applies the crossing rule (cross) to the copy staged in ev and
+// enqueues the survivors: dropped copies are counted, a corrupted
+// copy's Elmo stream is flipped in a private buffer, a duplicate is
+// charged to the byte accounting, and delayed copies wait in the held
+// buffer for DelaySteps loop iterations. Every crossing of a send
+// funnels through admit after its LinkBytes were counted, so the
+// observer sees exactly the bytes the Delivery accounting sees (chaos
+// drops included: the copy crossed the wire before dying). ev is
+// passed by pointer to spare a struct copy per crossing (it embeds a
+// full Packet); admit copies it into the queue and never retains the
+// pointer.
+func (f *Fabric) admit(st *fwd, l dataplane.Link, ev *event) {
+	size := ev.pkt.WireSize()
+	v, copies := f.cross(l, size, st.vni, st.group)
+	if v == (dataplane.FaultVerdict{}) {
+		st.ps.queue = append(st.ps.queue, *ev)
+		return
+	}
+	if copies == 0 {
+		st.d.FaultDrops++
+		return
+	}
+	if v.Corrupt {
+		st.d.FaultCorrupts++
+		// The Elmo stream aliases the sender flow's precomputed bytes;
+		// corrupt a copy so other packets (and retransmissions) are
+		// unaffected.
+		elmo := make([]byte, len(ev.pkt.Elmo))
+		copy(elmo, ev.pkt.Elmo)
+		f.injector.CorruptWire(elmo)
+		ev.pkt.Elmo = elmo
+	}
+	if copies == 2 {
+		st.d.FaultDups++
+		// The extra copy crosses this link too.
+		st.d.LinkBytes += size
+		st.d.Links++
+	}
+	if v.DelaySteps > 0 {
+		st.d.FaultDelays++
+	}
+	for i := 0; i < copies; i++ {
+		if v.DelaySteps > 0 {
+			st.ps.held = append(st.ps.held, heldEvent{ev: *ev, due: st.n + int(v.DelaySteps)})
+		} else {
+			st.ps.queue = append(st.ps.queue, *ev)
+		}
+	}
 }
 
 func (f *Fabric) deliverHost(d *Delivery, h topology.HostID, pkt *dataplane.Packet) {

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -474,4 +476,40 @@ func TestMultiPlaneFailureDelivery(t *testing.T) {
 	if d.Duplicates > 2 {
 		t.Fatalf("too many duplicates: %s", d)
 	}
+}
+
+// TestSendStateFreelist checks the per-send state contract: a serial
+// sender gets the same state back every time, and concurrent takers
+// never share one (a shared state would trip the race detector and the
+// marker check).
+func TestSendStateFreelist(t *testing.T) {
+	f := New(paperTopo(), 16)
+	first := f.takeState()
+	f.releaseState(first)
+	if again := f.takeState(); again != first {
+		t.Fatal("serial take did not reuse the released state")
+	} else {
+		f.releaseState(again)
+	}
+
+	var wg sync.WaitGroup
+	for g := int32(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				ps := f.takeState()
+				if len(ps.queue) != 0 || ps.head != 0 || len(ps.held) != 0 {
+					t.Error("took a state that was not reset")
+				}
+				ps.queue = append(ps.queue, event{id: g})
+				runtime.Gosched()
+				if len(ps.queue) != 1 || ps.queue[0].id != g {
+					t.Errorf("state shared between takers: %+v", ps.queue)
+				}
+				f.releaseState(ps)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package livefabric
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
 	"elmo/internal/topology"
+	"elmo/internal/trace"
 )
 
 func liveFixture(t *testing.T, enableINT bool) (*LiveFabric, *controller.Controller, controller.GroupKey, []topology.HostID) {
@@ -191,6 +193,69 @@ func TestCongestionAwareMultipathDelivers(t *testing.T) {
 		if len(got) != n {
 			t.Fatalf("host %d: %d of %d", h, len(got), n)
 		}
+	}
+}
+
+// TestLiveDeclaredFailureDrops declares a spine failed without
+// refreshing the sender's flow, so the stale tree still routes a copy
+// toward it. The live fabric must drop that copy and trace it as
+// KindDrop, and deliver to exactly the hosts the synchronous fabric
+// delivers to for the same send.
+func TestLiveDeclaredFailureDrops(t *testing.T) {
+	lf, ctrl, key, hosts := liveFixture(t, false)
+	addr := dataplane.GroupAddr{VNI: key.Tenant, Group: key.Group}
+	// Spine 6 is pod 3's plane-0 spine: the core fans sender 0's copy
+	// for hosts 48, 49 and 63 down through it.
+	ctrl.FailSpine(6)
+	drops := func(rec *trace.FlightRecorder) []trace.Event {
+		var out []trace.Event
+		for _, ev := range rec.Snapshot() {
+			if ev.Kind == trace.KindDrop {
+				ev.Seq, ev.TS = 0, 0
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+
+	syncRec := trace.New(trace.Config{})
+	syncRec.Enable(trace.CatFabric)
+	lf.Base().SetTracer(syncRec)
+	d, err := lf.Base().Send(0, addr, []byte("sync"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drops(syncRec)
+	if d.Lost == 0 || len(want) == 0 {
+		t.Fatalf("fixture no longer routes through spine 6: %s", d)
+	}
+
+	liveRec := trace.New(trace.Config{})
+	liveRec.Enable(trace.CatFabric)
+	lf.SetTracer(liveRec)
+	lf.Start()
+	defer lf.Stop()
+	if err := lf.Send(0, addr, []byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hosts[1:] {
+		if _, ok := d.Received[h]; ok {
+			collect(t, lf, h, 1, 5*time.Second)
+		}
+	}
+	if err := lf.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range hosts[1:] {
+		if _, ok := d.Received[h]; !ok && len(lf.HostRx(h)) != 0 {
+			t.Fatalf("host %d behind failed spine 6 received a copy", h)
+		}
+	}
+	if got := drops(liveRec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live drop events %+v, synchronous fabric %+v", got, want)
+	}
+	if want[0].Tier != trace.TierSpine || want[0].Switch != 6 {
+		t.Fatalf("drop traced at %s %d, want spine 6", want[0].Tier, want[0].Switch)
 	}
 }
 

@@ -9,11 +9,18 @@
 // answers each NAK with unicast repair data (RDATA) to the NAKing
 // receiver, exactly PGM's recovery shape. All control and repair
 // traffic is ordinary unicast — the multicast fabric stays stateless.
+//
+// Every frame's header ends in a CRC-32 of the header bytes before
+// it, so a corrupted sequence number or NAK range is rejected as a
+// malformed frame (loss, which the NAK loop repairs) instead of being
+// acted on. The checksum does not cover a DATA/RDATA payload: payload
+// integrity is left to the application, end to end.
 package reliable
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"sort"
 )
 
@@ -28,8 +35,11 @@ const (
 )
 
 const (
-	magic      = 0xE7
-	headerSize = 6 // magic, type, seq
+	magic = 0xE7
+	// headerSize is a DATA/RDATA header: magic, type, seq, checksum.
+	headerSize = 10
+	// crcSize is the header checksum's length.
+	crcSize = 4
 	// maxNAKRanges bounds one NAK message.
 	maxNAKRanges = 60
 )
@@ -54,13 +64,14 @@ func (m *Message) Marshal() ([]byte, error) {
 		b := make([]byte, headerSize+len(m.Payload))
 		b[0], b[1] = magic, m.Type
 		binary.BigEndian.PutUint32(b[2:], m.Seq)
+		seal(b[:headerSize])
 		copy(b[headerSize:], m.Payload)
 		return b, nil
 	case TypeNAK:
 		if len(m.Ranges) == 0 || len(m.Ranges) > maxNAKRanges {
 			return nil, fmt.Errorf("reliable: NAK with %d ranges", len(m.Ranges))
 		}
-		b := make([]byte, 3+8*len(m.Ranges))
+		b := make([]byte, 3+8*len(m.Ranges)+crcSize)
 		b[0], b[1], b[2] = magic, TypeNAK, byte(len(m.Ranges))
 		off := 3
 		for _, r := range m.Ranges {
@@ -68,6 +79,7 @@ func (m *Message) Marshal() ([]byte, error) {
 			binary.BigEndian.PutUint32(b[off+4:], r.Last)
 			off += 8
 		}
+		seal(b)
 		return b, nil
 	default:
 		return nil, fmt.Errorf("reliable: unknown type %d", m.Type)
@@ -84,14 +96,20 @@ func Unmarshal(b []byte) (*Message, error) {
 		if len(b) < headerSize {
 			return nil, fmt.Errorf("reliable: truncated data frame")
 		}
+		if !sealed(b[:headerSize]) {
+			return nil, errChecksum
+		}
 		return &Message{Type: b[1], Seq: binary.BigEndian.Uint32(b[2:]), Payload: b[headerSize:]}, nil
 	case TypeNAK:
 		if len(b) < 3 {
 			return nil, fmt.Errorf("reliable: truncated NAK")
 		}
 		n := int(b[2])
-		if n == 0 || n > maxNAKRanges || len(b) < 3+8*n {
+		if n == 0 || n > maxNAKRanges || len(b) < 3+8*n+crcSize {
 			return nil, fmt.Errorf("reliable: malformed NAK")
+		}
+		if !sealed(b[:3+8*n+crcSize]) {
+			return nil, errChecksum
 		}
 		ranges := make([]Range, n)
 		off := 3
@@ -109,6 +127,22 @@ func Unmarshal(b []byte) (*Message, error) {
 	default:
 		return nil, fmt.Errorf("reliable: unknown type %d", b[1])
 	}
+}
+
+var errChecksum = fmt.Errorf("reliable: header checksum mismatch")
+
+// seal writes the CRC-32 of hdr's leading bytes into its last crcSize
+// bytes.
+func seal(hdr []byte) {
+	n := len(hdr) - crcSize
+	binary.BigEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(hdr[:n]))
+}
+
+// sealed reports whether hdr's trailing checksum matches its leading
+// bytes.
+func sealed(hdr []byte) bool {
+	n := len(hdr) - crcSize
+	return binary.BigEndian.Uint32(hdr[n:]) == crc32.ChecksumIEEE(hdr[:n])
 }
 
 // Sender is the reliable-layer state for one (group, sender) stream.

@@ -51,6 +51,37 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestHeaderChecksum: a flipped byte anywhere in a frame's header —
+// the sequence number included — is rejected, so a corrupted frame
+// can never be delivered at the wrong position; payload bytes are the
+// application's to check.
+func TestHeaderChecksum(t *testing.T) {
+	data, err := (&Message{Type: TypeData, Seq: 0x01020304, Payload: []byte("payload")}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nak, err := (&Message{Type: TypeNAK, Ranges: []Range{{1, 3}, {9, 9}}}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, hdr := range map[string][]byte{"data": data[:headerSize], "nak": nak} {
+		for i := range hdr {
+			for _, mask := range []byte{0x01, 0x80, 0xff} {
+				hdr[i] ^= mask
+				if m, err := Unmarshal(hdr); err == nil {
+					t.Errorf("%s: flip %#x at byte %d accepted as %+v", name, mask, i, m)
+				}
+				hdr[i] ^= mask
+			}
+		}
+	}
+	data[headerSize] ^= 0xff
+	m, err := Unmarshal(data)
+	if err != nil || m.Seq != 0x01020304 {
+		t.Fatalf("payload flip: %+v, %v", m, err)
+	}
+}
+
 func TestInOrderDelivery(t *testing.T) {
 	s := NewSender(16)
 	r := NewReceiver(16)

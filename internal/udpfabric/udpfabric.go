@@ -8,8 +8,10 @@
 // forwards synchronously in process and package livefabric uses
 // channels, udpfabric exercises the full marshal → socket → parse path
 // per hop, the shape a userspace software-switch deployment (PISCES/
-// OVS-style) actually has. It is used by tests and examples, not by
-// the large-scale simulations.
+// OVS-style) actually has. Forwarding itself is the fabric package's
+// shared step; this package owns the sockets, the batched readers and
+// the precomputed peer addresses. It is used by tests and examples,
+// not by the large-scale simulations.
 package udpfabric
 
 import (
@@ -22,7 +24,6 @@ import (
 	"elmo/internal/controller"
 	"elmo/internal/dataplane"
 	"elmo/internal/fabric"
-	"elmo/internal/header"
 	"elmo/internal/topology"
 	"elmo/internal/trace"
 )
@@ -31,30 +32,19 @@ import (
 const maxFrame = 4096
 
 // HostPacket is a frame delivered to a host endpoint.
-type HostPacket struct {
-	Addr      dataplane.GroupAddr
-	Inner     []byte
-	Telemetry []header.INTRecord
-}
+type HostPacket = fabric.HostPacket
 
 // UDPFabric binds a fabric's switches to UDP sockets.
 type UDPFabric struct {
-	topo   *topology.Topology
-	layout header.Layout
-	base   *fabric.Fabric
+	base *fabric.Fabric
+	wire *fabric.Wire
 
-	leafConn  []*net.UDPConn
-	spineConn []*net.UDPConn
-	coreConn  []*net.UDPConn
-	hostConn  []*net.UDPConn
-
-	// Destination addresses resolved once at bind time, so the hot
+	// conn holds every element's socket by dataplane.LinkTier; addr
+	// holds their addresses, resolved once at bind time, so the hot
 	// forwarding path never repeats the LocalAddr type assertion per
 	// datagram.
-	leafAddr  []*net.UDPAddr
-	spineAddr []*net.UDPAddr
-	coreAddr  []*net.UDPAddr
-	hostAddr  []*net.UDPAddr
+	conn [4][]*net.UDPConn
+	addr [4][]*net.UDPAddr
 
 	hostRx []chan HostPacket
 
@@ -62,8 +52,6 @@ type UDPFabric struct {
 	stopOnce  sync.Once
 	stopped   chan struct{}
 	wg        sync.WaitGroup
-	tracer    trace.Recorder
-	injector  dataplane.FaultInjector
 	metrics   *Metrics
 
 	mu sync.Mutex
@@ -76,40 +64,46 @@ type UDPFabric struct {
 
 // New binds one ephemeral localhost UDP socket per switch and host of
 // the base fabric. Install group state, then call Start to spawn the
-// switch/host readers (switch group tables are not guarded; installs
-// must happen while the fabric is quiet, same contract as livefabric).
+// switch/host readers (switch group tables and the base fabric's
+// failure set are not guarded; installs and failure changes must
+// happen while the fabric is quiet, same contract as livefabric).
 func New(base *fabric.Fabric) (*UDPFabric, error) {
 	topo := base.Topology()
-	u := &UDPFabric{
-		topo:    topo,
-		layout:  header.LayoutFor(topo),
-		base:    base,
-		stopped: make(chan struct{}),
+	u := &UDPFabric{base: base, stopped: make(chan struct{})}
+	counts := [4]int{
+		dataplane.LinkHost: topo.NumHosts(), dataplane.LinkLeaf: topo.NumLeaves(),
+		dataplane.LinkSpine: topo.NumSpines(), dataplane.LinkCore: topo.NumCores(),
 	}
-	var err error
-	if u.leafConn, err = listenN(topo.NumLeaves()); err != nil {
-		return nil, err
+	for t, n := range counts {
+		conns, err := listenN(n)
+		if err != nil {
+			u.Close()
+			return nil, err
+		}
+		u.conn[t], u.addr[t] = conns, addrsOf(conns)
 	}
-	if u.spineConn, err = listenN(topo.NumSpines()); err != nil {
-		u.Close()
-		return nil, err
-	}
-	if u.coreConn, err = listenN(topo.NumCores()); err != nil {
-		u.Close()
-		return nil, err
-	}
-	if u.hostConn, err = listenN(topo.NumHosts()); err != nil {
-		u.Close()
-		return nil, err
-	}
-	u.leafAddr = addrsOf(u.leafConn)
-	u.spineAddr = addrsOf(u.spineConn)
-	u.coreAddr = addrsOf(u.coreConn)
-	u.hostAddr = addrsOf(u.hostConn)
 	u.hostRx = make([]chan HostPacket, topo.NumHosts())
 	for i := range u.hostRx {
 		u.hostRx[i] = make(chan HostPacket, 1024)
 	}
+	u.wire = base.NewWire(fabric.WireConfig{
+		Transmit: u.transmit,
+		HostRx:   u.hostRx,
+		Stop:     u.stopped,
+		WG:       &u.wg,
+		OnMalformed: func() {
+			u.mu.Lock()
+			u.Malformed++
+			u.mu.Unlock()
+			u.metrics.onMalformed()
+		},
+		OnHostDrop: func() {
+			u.mu.Lock()
+			u.Dropped++
+			u.mu.Unlock()
+			u.metrics.onHostDrop()
+		},
+	})
 	return u, nil
 }
 
@@ -118,21 +112,18 @@ func New(base *fabric.Fabric) (*UDPFabric, error) {
 // call spawns readers.
 func (u *UDPFabric) Start() {
 	u.startOnce.Do(func() {
-		for i := range u.leafConn {
-			u.wg.Add(1)
-			go u.runLeaf(topology.LeafID(i))
-		}
-		for i := range u.spineConn {
-			u.wg.Add(1)
-			go u.runSpine(topology.SpineID(i))
-		}
-		for i := range u.coreConn {
-			u.wg.Add(1)
-			go u.runCore(topology.CoreID(i))
-		}
-		for i := range u.hostConn {
-			u.wg.Add(1)
-			go u.runHost(topology.HostID(i))
+		for tier, conns := range u.conn {
+			for i, conn := range conns {
+				var fn func(wire []byte)
+				if tier == int(dataplane.LinkHost) {
+					h := topology.HostID(i)
+					fn = func(wire []byte) { u.wire.DeliverHost(h, wire) }
+				} else {
+					fn = u.wire.Switch(dataplane.LinkTier(tier), i).Forward
+				}
+				u.wg.Add(1)
+				go u.readLoop(conn, fn)
+			}
 		}
 	})
 }
@@ -163,11 +154,9 @@ func listenN(n int) ([]*net.UDPConn, error) {
 // Close shuts the sockets down and waits for the readers.
 func (u *UDPFabric) Close() {
 	u.stopOnce.Do(func() { close(u.stopped) })
-	for _, set := range [][]*net.UDPConn{u.leafConn, u.spineConn, u.coreConn, u.hostConn} {
+	for _, set := range u.conn {
 		for _, c := range set {
-			if c != nil {
-				c.Close()
-			}
+			c.Close()
 		}
 	}
 	u.wg.Wait()
@@ -179,7 +168,13 @@ func (u *UDPFabric) HostRx(h topology.HostID) <-chan HostPacket { return u.hostR
 // HostAddr returns the UDP address a host endpoint listens on (the
 // "NIC" applications would send through).
 func (u *UDPFabric) HostAddr(h topology.HostID) *net.UDPAddr {
-	return u.hostAddr[h]
+	return u.addr[dataplane.LinkHost][h]
+}
+
+// transmit writes one datagram from l's sending socket to its
+// receiving one.
+func (u *UDPFabric) transmit(l dataplane.Link, wire []byte) error {
+	return u.writeTo(u.conn[l.FromTier][l.From], wire, u.addr[l.ToTier][l.To])
 }
 
 // writeTo transmits one datagram and keeps the send accounting honest:
@@ -200,23 +195,7 @@ func (u *UDPFabric) writeTo(from *net.UDPConn, wire []byte, dst *net.UDPAddr) er
 // Send encapsulates at the sender's hypervisor and transmits the frame
 // to the sender's leaf over UDP.
 func (u *UDPFabric) Send(sender topology.HostID, addr dataplane.GroupAddr, inner []byte) error {
-	pkt, err := u.base.Hypervisors[sender].Encap(addr, inner)
-	if err != nil {
-		return err
-	}
-	wire, err := pkt.Marshal(nil)
-	if err != nil {
-		return err
-	}
-	leaf := u.topo.HostLeaf(sender)
-	if dataplane.FaultsOn(u.injector) {
-		u.admitWire(dataplane.Link{
-			FromTier: dataplane.LinkHost, From: int32(sender),
-			ToTier: dataplane.LinkLeaf, To: int32(leaf),
-		}, addr.VNI, addr.Group, u.hostConn[sender], u.leafAddr[leaf], wire)
-		return nil
-	}
-	return u.writeTo(u.hostConn[sender], wire, u.leafAddr[leaf])
+	return u.wire.Send(sender, addr, inner)
 }
 
 // InstallGroup proxies to the base fabric.
@@ -224,31 +203,14 @@ func (u *UDPFabric) InstallGroup(ctrl *controller.Controller, key controller.Gro
 	return u.base.InstallGroup(ctrl, key)
 }
 
-// SetTracer attaches a flight recorder to the underlying switches and
-// hypervisors and to the UDP fabric's own transport events. Call
-// before Start.
-func (u *UDPFabric) SetTracer(r trace.Recorder) {
-	u.tracer = r
-	u.base.SetTracer(r)
-}
+// SetTracer attaches a flight recorder to the base fabric, which the
+// UDP fabric's forwarding step records through. Call before Start.
+func (u *UDPFabric) SetTracer(r trace.Recorder) { u.base.SetTracer(r) }
 
-// SetInjector attaches a fault injector to every link crossing (and to
-// the base fabric). Call before Start. Delay verdicts are interpreted
-// as milliseconds.
-func (u *UDPFabric) SetInjector(inj dataplane.FaultInjector) {
-	u.injector = inj
-	u.base.SetInjector(inj)
-}
-
-func (u *UDPFabric) countMalformed() {
-	u.mu.Lock()
-	u.Malformed++
-	u.mu.Unlock()
-	u.metrics.onMalformed()
-	if trace.On(u.tracer, trace.CatFabric) {
-		u.tracer.Record(trace.Event{Cat: trace.CatFabric, Kind: trace.KindMalformed})
-	}
-}
+// SetInjector attaches a fault injector to the base fabric, which the
+// UDP fabric's forwarding step consults at every link crossing. Call
+// before Start. Delay verdicts are interpreted as milliseconds.
+func (u *UDPFabric) SetInjector(inj dataplane.FaultInjector) { u.base.SetInjector(inj) }
 
 // readErrBackoffCap bounds the retry backoff after consecutive
 // transient socket read errors.
@@ -336,173 +298,6 @@ func (u *UDPFabric) readLoop(conn *net.UDPConn, fn func(wire []byte)) {
 		}
 		batch = batch[:0]
 	}
-}
-
-func (u *UDPFabric) process(sw *dataplane.NetworkSwitch, wire []byte, sc *dataplane.SwitchScratch) []dataplane.Emission {
-	pkt, err := dataplane.Unmarshal(u.layout, wire)
-	if err != nil {
-		u.countMalformed()
-		return nil
-	}
-	sc.Reset()
-	ems, err := sw.ProcessInto(pkt, sc)
-	if err != nil {
-		u.countMalformed()
-		return nil
-	}
-	return ems
-}
-
-// forward marshals one emission into the caller's reusable scratch
-// buffer and transmits it. WriteToUDP copies the payload into the
-// kernel before returning (and admitWire's delayed path copies for
-// itself), so the scratch — returned with any capacity growth — is
-// free for the next emission as soon as forward returns.
-func (u *UDPFabric) forward(l dataplane.Link, from *net.UDPConn, dst *net.UDPAddr, pkt dataplane.Packet, mbuf []byte) []byte {
-	wire, err := pkt.Marshal(mbuf[:0])
-	if err != nil {
-		u.countMalformed()
-		return mbuf
-	}
-	if dataplane.FaultsOn(u.injector) {
-		a, _ := dataplane.GroupAddrFromOuter(pkt.Outer)
-		u.admitWire(l, a.VNI, a.Group, from, dst, wire)
-		return wire
-	}
-	u.writeTo(from, wire, dst)
-	return wire
-}
-
-// admitWire applies the injector verdict to a marshaled datagram and
-// transmits the surviving copies. wire may be a reusable scratch; the
-// delayed path copies it before the goroutine escapes the call.
-func (u *UDPFabric) admitWire(l dataplane.Link, vni, group uint32, from *net.UDPConn, dst *net.UDPAddr, wire []byte) {
-	v := u.injector.Cross(l, vni, group)
-	if v.Drop {
-		return
-	}
-	if v.Corrupt {
-		u.injector.CorruptWire(wire)
-	}
-	if v.Duplicate {
-		u.writeTo(from, wire, dst)
-	}
-	if v.DelaySteps > 0 {
-		delayed := append([]byte(nil), wire...)
-		u.wg.Add(1)
-		go func() {
-			defer u.wg.Done()
-			select {
-			case <-time.After(time.Duration(v.DelaySteps) * time.Millisecond):
-			case <-u.stopped:
-				return
-			}
-			u.writeTo(from, delayed, dst)
-		}()
-		return
-	}
-	u.writeTo(from, wire, dst)
-}
-
-// Each switch reader owns one SwitchScratch (reset per datagram; all
-// emissions are re-marshaled before the next frame) and one marshal
-// scratch buffer reused across emissions.
-func (u *UDPFabric) runLeaf(id topology.LeafID) {
-	conn := u.leafConn[id]
-	sw := u.base.Leaves[id]
-	var sc dataplane.SwitchScratch
-	var mbuf []byte
-	u.readLoop(conn, func(wire []byte) {
-		for _, em := range u.process(sw, wire, &sc) {
-			if em.Up {
-				spine := u.topo.LeafUpstream(id, em.Port)
-				mbuf = u.forward(dataplane.Link{
-					FromTier: dataplane.LinkLeaf, From: int32(id),
-					ToTier: dataplane.LinkSpine, To: int32(spine),
-				}, conn, u.spineAddr[spine], em.Packet, mbuf)
-			} else {
-				host := u.topo.HostAt(id, em.Port)
-				mbuf = u.forward(dataplane.Link{
-					FromTier: dataplane.LinkLeaf, From: int32(id),
-					ToTier: dataplane.LinkHost, To: int32(host),
-				}, conn, u.hostAddr[host], em.Packet, mbuf)
-			}
-		}
-	})
-}
-
-func (u *UDPFabric) runSpine(id topology.SpineID) {
-	conn := u.spineConn[id]
-	sw := u.base.Spines[id]
-	var sc dataplane.SwitchScratch
-	var mbuf []byte
-	u.readLoop(conn, func(wire []byte) {
-		for _, em := range u.process(sw, wire, &sc) {
-			if em.Up {
-				core := u.topo.SpineUpstream(id, em.Port)
-				mbuf = u.forward(dataplane.Link{
-					FromTier: dataplane.LinkSpine, From: int32(id),
-					ToTier: dataplane.LinkCore, To: int32(core),
-				}, conn, u.coreAddr[core], em.Packet, mbuf)
-			} else {
-				leaf := u.topo.SpineDownstream(id, em.Port)
-				mbuf = u.forward(dataplane.Link{
-					FromTier: dataplane.LinkSpine, From: int32(id),
-					ToTier: dataplane.LinkLeaf, To: int32(leaf),
-				}, conn, u.leafAddr[leaf], em.Packet, mbuf)
-			}
-		}
-	})
-}
-
-func (u *UDPFabric) runCore(id topology.CoreID) {
-	conn := u.coreConn[id]
-	sw := u.base.Cores[id]
-	var sc dataplane.SwitchScratch
-	var mbuf []byte
-	u.readLoop(conn, func(wire []byte) {
-		for _, em := range u.process(sw, wire, &sc) {
-			spine := u.topo.CoreDownstream(id, topology.PodID(em.Port))
-			mbuf = u.forward(dataplane.Link{
-				FromTier: dataplane.LinkCore, From: int32(id),
-				ToTier: dataplane.LinkSpine, To: int32(spine),
-			}, conn, u.spineAddr[spine], em.Packet, mbuf)
-		}
-	})
-}
-
-func (u *UDPFabric) runHost(h topology.HostID) {
-	conn := u.hostConn[h]
-	hv := u.base.Hypervisors[h]
-	u.readLoop(conn, func(wire []byte) {
-		pkt, err := dataplane.Unmarshal(u.layout, wire)
-		if err != nil {
-			u.countMalformed()
-			return
-		}
-		inner, tel, ok := hv.DeliverFull(pkt)
-		if !ok {
-			return
-		}
-		// inner aliases the reader's recycled frame buffer; the queued
-		// HostPacket outlives this call, so it gets its own copy.
-		inner = append([]byte(nil), inner...)
-		addr, _ := dataplane.GroupAddrFromOuter(pkt.Outer)
-		select {
-		case u.hostRx[h] <- HostPacket{Addr: addr, Inner: inner, Telemetry: tel}:
-		default:
-			u.mu.Lock()
-			u.Dropped++
-			u.mu.Unlock()
-			u.metrics.onHostDrop()
-			if trace.On(u.tracer, trace.CatFabric) {
-				u.tracer.Record(trace.Event{
-					Cat: trace.CatFabric, Kind: trace.KindHostDrop, Tier: trace.TierHost,
-					Switch: int32(h), VNI: addr.VNI, Group: addr.Group,
-				})
-			}
-		}
-	})
 }
 
 // WaitForDeliveries collects n frames from a host with a deadline —

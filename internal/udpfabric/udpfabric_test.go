@@ -111,8 +111,8 @@ func TestHostAddrStable(t *testing.T) {
 func TestGarbageDatagramCounted(t *testing.T) {
 	u, _, _ := udpFixture(t, false)
 	// Fire a garbage datagram straight at a leaf socket.
-	conn := u.hostConn[3]
-	if _, err := conn.WriteToUDP([]byte{0xde, 0xad}, u.leafConn[0].LocalAddr().(*net.UDPAddr)); err != nil {
+	conn := u.conn[dataplane.LinkHost][3]
+	if _, err := conn.WriteToUDP([]byte{0xde, 0xad}, u.conn[dataplane.LinkLeaf][0].LocalAddr().(*net.UDPAddr)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -169,7 +169,7 @@ func TestSendAccountingCountsSuccessesOnly(t *testing.T) {
 
 	// Closing the sender's socket makes the next write fail; the failure
 	// must land in SendErrors, never in the sent totals.
-	u.hostConn[0].Close()
+	u.conn[dataplane.LinkHost][0].Close()
 	if err := u.Send(0, addr, []byte("broken")); err == nil {
 		t.Fatal("Send on closed socket did not error")
 	}
